@@ -30,6 +30,9 @@
 // (one "fs"-labelled stream per instance) at exit; replay it with
 // cmd/lfstop. -metrics-interval sets the sampling spacing in
 // simulated time. The metrics experiment is the plane's smoke test.
+//
+// -cpuprofile <file> and -memprofile <file> write host CPU and
+// allocation profiles of the run, for go tool pprof.
 package main
 
 import (
@@ -53,6 +56,8 @@ func main() {
 	flag.StringVar(&benchJSON, "benchjson", "", "write the trace, concurrency, or metrics experiment's summary JSON to this file")
 	metricsOut := flag.String("metrics", "", "sample every LFS's metrics plane and write the combined JSONL time series to this file (replay with lfstop)")
 	metricsInterval := flag.Duration("metrics-interval", time.Second, "simulated-time spacing between metrics samples")
+	var prof profiles
+	prof.register(flag.CommandLine)
 	flag.Parse()
 	realStdout = os.Stdout
 	if *metricsOut != "" {
@@ -75,7 +80,21 @@ func main() {
 		}
 		csvOut = *csvDir
 	}
+	if err := prof.start(); err != nil {
+		fmt.Fprintf(os.Stderr, "lfsbench: %v\n", err)
+		os.Exit(1)
+	}
+	code := run(*exp, *quick, *metricsOut)
+	if err := prof.stop(); err != nil {
+		fmt.Fprintf(os.Stderr, "lfsbench: %v\n", err)
+		code = 1
+	}
+	os.Exit(code)
+}
 
+// run runs the named experiment (or all of them) and writes the
+// metrics file, returning the process exit code.
+func run(exp string, quick bool, metricsOut string) int {
 	runners := map[string]func(bool) error{
 		"fig1":               runFig1,
 		"fig3":               runFig3,
@@ -98,32 +117,31 @@ func main() {
 	}
 	order := []string{"fig1", "fig3", "fig4", "fig5", "scaling", "recovery", "ablation-segsize", "ablation-policy", "ablation-ckpt", "ablation-blocksize", "utilization", "cleaning-curve", "trace", "concurrency", "critpath", "sharding", "metrics", "crashsweep"}
 
-	if *exp == "all" {
+	if exp == "all" {
 		for _, name := range order {
 			fmt.Printf("=== %s ===\n", name)
-			if err := runners[name](*quick); err != nil {
+			if err := runners[name](quick); err != nil {
 				fmt.Fprintf(os.Stderr, "lfsbench: %s: %v\n", name, err)
-				os.Exit(1)
+				return 1
 			}
 			fmt.Println()
 		}
-		finishMetrics(*metricsOut)
-		return
+		return finishMetrics(metricsOut)
 	}
-	run, ok := runners[*exp]
+	runner, ok := runners[exp]
 	if !ok {
 		names := make([]string, 0, len(runners)+1)
 		names = append(names, order...)
 		names = append(names, "all")
 		fmt.Fprintf(os.Stderr, "lfsbench: unknown experiment %q (valid: %s)\n",
-			*exp, strings.Join(names, ", "))
-		os.Exit(2)
+			exp, strings.Join(names, ", "))
+		return 2
 	}
-	if err := run(*quick); err != nil {
+	if err := runner(quick); err != nil {
 		fmt.Fprintf(os.Stderr, "lfsbench: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
-	finishMetrics(*metricsOut)
+	return finishMetrics(metricsOut)
 }
 
 // collector gathers one labelled sampler per LFS instance when
@@ -185,15 +203,17 @@ func (c *metricsCollector) write(path string) error {
 	return nil
 }
 
-// finishMetrics writes the collected metrics file, if enabled.
-func finishMetrics(path string) {
+// finishMetrics writes the collected metrics file, if enabled, and
+// returns the exit code.
+func finishMetrics(path string) int {
 	if collector == nil || path == "" {
-		return
+		return 0
 	}
 	if err := collector.write(path); err != nil {
 		fmt.Fprintf(os.Stderr, "lfsbench: writing metrics: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // csvOut, when non-empty, is the directory experiments write CSVs to.

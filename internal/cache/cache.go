@@ -63,6 +63,8 @@ type Block struct {
 
 	lruElem   *list.Element // position in c.lru
 	dirtyElem *list.Element // position in c.dirty when dirty
+
+	inoPrev, inoNext *Block // neighbours in c.byIno[Key.Ino]
 }
 
 // Dirty reports whether the block has unwritten modifications.
@@ -104,6 +106,10 @@ type Cache struct {
 	blocks map[Key]*Block
 	lru    *list.List // front = most recent; values are *Block
 	dirty  *list.List // front = oldest dirtied; values are *Block
+	// byIno heads an intrusive list (Block.inoPrev/inoNext) of every
+	// cached block of each inode, of any Kind, so unlink drops a
+	// file's blocks without walking the whole cache.
+	byIno map[layout.Ino]*Block
 
 	stats Stats
 }
@@ -117,6 +123,7 @@ func New(capacity, blockSize int) *Cache {
 		blockSize: blockSize,
 		capacity:  capacity,
 		blocks:    make(map[Key]*Block),
+		byIno:     make(map[layout.Ino]*Block),
 		lru:       list.New(),
 		dirty:     list.New(),
 	}
@@ -167,6 +174,10 @@ func (c *Cache) Add(k Key) *Block {
 	b := &Block{Key: k, Data: make([]byte, c.blockSize)}
 	b.lruElem = c.lru.PushFront(b)
 	c.blocks[k] = b
+	if head := c.byIno[k.Ino]; head != nil {
+		head.inoPrev, b.inoNext = b, head
+	}
+	c.byIno[k.Ino] = b
 	c.stats.Inserted++
 	return b
 }
@@ -273,24 +284,31 @@ func (c *Cache) remove(b *Block) {
 	if b.dirty {
 		c.dirty.Remove(b.dirtyElem)
 	}
+	switch {
+	case b.inoPrev != nil:
+		b.inoPrev.inoNext = b.inoNext
+	case b.inoNext != nil:
+		c.byIno[b.Key.Ino] = b.inoNext
+	default:
+		delete(c.byIno, b.Key.Ino)
+	}
+	if b.inoNext != nil {
+		b.inoNext.inoPrev = b.inoPrev
+	}
 	b.lruElem, b.dirtyElem = nil, nil
+	b.inoPrev, b.inoNext = nil, nil
 	b.dirty = false
 }
 
-// RemoveMatching drops every block whose key satisfies pred,
-// discarding dirty contents; it returns the number removed.
-func (c *Cache) RemoveMatching(pred func(Key) bool) int {
-	var victims []*Block
-	//lfslint:allow maporder removal order does not matter: every victim is removed and the final cache state is identical for any order
-	for k, b := range c.blocks {
-		if pred(k) {
-			victims = append(victims, b)
-		}
-	}
-	for _, b := range victims {
+// RemoveIno drops every block of inode ino, of any Kind, discarding
+// dirty contents; it returns the number removed.
+func (c *Cache) RemoveIno(ino layout.Ino) int {
+	n := 0
+	for b := c.byIno[ino]; b != nil; b = c.byIno[ino] {
 		c.remove(b)
+		n++
 	}
-	return len(victims)
+	return n
 }
 
 // DropClean evicts every clean, unpinned block, simulating the
@@ -335,6 +353,7 @@ func (c *Cache) OldestDirty() (sim.Time, bool) {
 // primitive: a machine crash loses exactly the cache contents.
 func (c *Cache) Clear() {
 	c.blocks = make(map[Key]*Block)
+	c.byIno = make(map[layout.Ino]*Block)
 	c.lru.Init()
 	c.dirty.Init()
 }

@@ -190,18 +190,49 @@ func TestRemove(t *testing.T) {
 	c.Remove(key(1, 0)) // removing a missing key is a no-op
 }
 
-func TestRemoveMatching(t *testing.T) {
-	c := New(8, 512)
+func TestRemoveIno(t *testing.T) {
+	c := New(16, 512)
 	for i := 0; i < 4; i++ {
 		c.Add(key(1, int64(i)))
 	}
-	c.MarkDirty(c.Add(key(2, 0)), 0)
-	n := c.RemoveMatching(func(k Key) bool { return k.Ino == 1 })
-	if n != 4 || c.Len() != 1 {
-		t.Fatalf("RemoveMatching removed %d, len %d", n, c.Len())
+	c.MarkDirty(c.Peek(key(1, 2)), 0)
+	c.MarkDirty(c.Add(Key{Kind: KindIndirect, Ino: 1, Off: 12}), 1)
+	c.Add(Key{Kind: KindMeta, Ino: 1, Off: 7})
+	c.MarkDirty(c.Add(key(2, 0)), 2)
+	c.Add(Key{Kind: KindMeta, Off: 1})
+	if n := c.RemoveIno(1); n != 6 || c.Len() != 2 {
+		t.Fatalf("RemoveIno(1) removed %d, len %d", n, c.Len())
 	}
-	if c.Peek(key(2, 0)) == nil {
+	if c.Peek(key(2, 0)) == nil || c.Peek(Key{Kind: KindMeta, Off: 1}) == nil {
 		t.Fatal("unrelated block removed")
+	}
+	if c.DirtyCount() != 1 {
+		t.Fatalf("dirty count %d after removing inode 1, want 1", c.DirtyCount())
+	}
+	if n := c.RemoveIno(1); n != 0 {
+		t.Fatalf("second RemoveIno(1) removed %d", n)
+	}
+	// Remove from the middle, front and back of an inode's list,
+	// then re-add: the list must stay consistent.
+	for i := 0; i < 5; i++ {
+		c.Add(key(3, int64(i)))
+	}
+	c.Remove(key(3, 2))
+	c.Remove(key(3, 4))
+	c.Remove(key(3, 0))
+	c.Add(key(3, 9))
+	if n := c.RemoveIno(3); n != 3 || c.Len() != 2 {
+		t.Fatalf("RemoveIno(3) removed %d, len %d", n, c.Len())
+	}
+	// Clear forgets every inode's list.
+	c.Add(key(4, 0))
+	c.Clear()
+	if n := c.RemoveIno(4); n != 0 {
+		t.Fatalf("RemoveIno after Clear removed %d", n)
+	}
+	c.Add(key(4, 0))
+	if n := c.RemoveIno(4); n != 1 || c.Len() != 0 {
+		t.Fatalf("RemoveIno after Clear and re-add removed %d, len %d", n, c.Len())
 	}
 }
 
@@ -245,10 +276,11 @@ func TestKeyString(t *testing.T) {
 // clean and unpinned, and never loses a dirty block.
 func TestCacheInvariantsProperty(t *testing.T) {
 	type op struct {
-		Ino   uint8
-		Off   uint8
-		Dirty bool
-		Clean bool
+		Ino    uint8
+		Off    uint8
+		Dirty  bool
+		Clean  bool
+		Unlink bool
 	}
 	f := func(ops []op) bool {
 		c := New(8, 64)
@@ -263,12 +295,20 @@ func TestCacheInvariantsProperty(t *testing.T) {
 				b = c.Add(k)
 			}
 			switch {
+			case o.Unlink:
+				c.RemoveIno(k.Ino)
+				for off := int64(0); off < 4; off++ {
+					delete(dirtyKeys, key(int(k.Ino), off))
+				}
 			case o.Dirty:
 				c.MarkDirty(b, sim.Time(i))
 				dirtyKeys[k] = true
 			case o.Clean:
 				c.MarkClean(b)
 				delete(dirtyKeys, k)
+			}
+			if !inoIndexConsistent(c) {
+				return false
 			}
 			// Invariant: every dirty key is still present.
 			//lfslint:allow maporder Peek is read-only and the every-key invariant holds or fails identically in any order
@@ -287,6 +327,25 @@ func TestCacheInvariantsProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// inoIndexConsistent reports whether the per-inode lists link every
+// cached block under its own inode, with one head per inode.
+func inoIndexConsistent(c *Cache) bool {
+	heads := 0
+	for e := c.lru.Front(); e != nil; e = e.Next() {
+		b := e.Value.(*Block)
+		switch p := b.inoPrev; {
+		case p == nil && c.byIno[b.Key.Ino] != b, p != nil && p.inoNext != b:
+			return false
+		case p == nil:
+			heads++
+		}
+		if n := b.inoNext; n != nil && (n.inoPrev != b || n.Key.Ino != b.Key.Ino) {
+			return false
+		}
+	}
+	return heads == len(c.byIno) && c.lru.Len() == len(c.blocks)
 }
 
 func TestEvictionStress(t *testing.T) {

@@ -2,6 +2,7 @@ package layout
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 )
@@ -11,13 +12,21 @@ import (
 //
 //	ino (4 bytes) | name length (2 bytes) | name bytes
 //
-// Entries never straddle blocks. Insertion and removal rewrite the
-// block compactly; directory blocks are small enough (4–8 KB) that the
-// rewrite cost is charged through the CPU model, not worth an in-place
-// scheme.
+// Records are packed from offset 2 and never straddle blocks; every
+// byte past the last record is zero. Lookup, insertion and removal
+// work in place without decoding names: insertion appends a record at
+// the end, removal slides the tail down over the removed record, and
+// both re-zero the bytes past the new end, so a block is always
+// byte-for-byte the packed encoding of its records. When a damaged
+// block repeats a name, lookup and removal act on the first record.
 
 // MaxNameLen is the longest permitted file name, matching BSD.
 const MaxNameLen = 255
+
+// ErrDuplicateName is returned when inserting a name the block
+// already holds. It is a sentinel so that the rejection allocates
+// nothing; the caller knows the name.
+var ErrDuplicateName = errors.New("layout: duplicate directory entry")
 
 // DirEntry is one name-to-inode binding.
 type DirEntry struct {
@@ -50,112 +59,111 @@ func ValidName(name string) error {
 }
 
 // InitDirBlock formats p as an empty directory block.
-func InitDirBlock(p []byte) {
-	for i := range p {
-		p[i] = 0
+func InitDirBlock(p []byte) { clear(p) }
+
+// dirRecordHeader is the per-record overhead (inode and name length).
+const dirRecordHeader = 4 + 2
+
+// dirRecord checks the header of record i at off and returns its name
+// length.
+func dirRecord(p []byte, off, i int) (int, error) {
+	if off+dirRecordHeader > len(p) {
+		return 0, fmt.Errorf("layout: directory block truncated at entry %d", i)
 	}
+	nlen := int(binary.LittleEndian.Uint16(p[off+4:]))
+	if nlen == 0 || nlen > MaxNameLen || off+dirRecordHeader+nlen > len(p) {
+		return 0, fmt.Errorf("layout: directory entry %d has bad name length %d", i, nlen)
+	}
+	return nlen, nil
 }
 
 // DirBlockEntries decodes all entries in the block.
 func DirBlockEntries(p []byte) ([]DirEntry, error) {
-	if len(p) < dirHeaderSize {
-		return nil, fmt.Errorf("layout: directory block shorter than header")
+	count, err := DirBlockCount(p)
+	if err != nil {
+		return nil, err
 	}
-	count := int(binary.LittleEndian.Uint16(p))
 	entries := make([]DirEntry, 0, count)
 	off := dirHeaderSize
 	for i := 0; i < count; i++ {
-		if off+6 > len(p) {
-			return nil, fmt.Errorf("layout: directory block truncated at entry %d", i)
+		nlen, err := dirRecord(p, off, i)
+		if err != nil {
+			return nil, err
 		}
-		ino := Ino(binary.LittleEndian.Uint32(p[off:]))
-		nlen := int(binary.LittleEndian.Uint16(p[off+4:]))
-		off += 6
-		if nlen == 0 || nlen > MaxNameLen || off+nlen > len(p) {
-			return nil, fmt.Errorf("layout: directory entry %d has bad name length %d", i, nlen)
-		}
-		entries = append(entries, DirEntry{Ino: ino, Name: string(p[off : off+nlen])})
-		off += nlen
+		name := p[off+dirRecordHeader : off+dirRecordHeader+nlen]
+		entries = append(entries, DirEntry{Ino: Ino(binary.LittleEndian.Uint32(p[off:])), Name: string(name)})
+		off += dirRecordHeader + nlen
 	}
 	return entries, nil
 }
 
-// encodeDirBlock writes entries into p; the caller guarantees they fit.
-func encodeDirBlock(entries []DirEntry, p []byte) {
-	InitDirBlock(p)
-	binary.LittleEndian.PutUint16(p, uint16(len(entries)))
-	off := dirHeaderSize
-	for _, e := range entries {
-		binary.LittleEndian.PutUint32(p[off:], uint32(e.Ino))
-		binary.LittleEndian.PutUint16(p[off+4:], uint16(len(e.Name)))
-		off += 6
-		copy(p[off:], e.Name)
-		off += len(e.Name)
+// dirScan validates every record of the block in place, exactly as
+// DirBlockEntries does, without allocating. It returns the record
+// count, the bytes in use, and the offset (-1 if none) and inode of
+// the first record named name.
+func dirScan(p []byte, name string) (count, used, at int, ino Ino, err error) {
+	count, err = DirBlockCount(p)
+	if err != nil {
+		return 0, 0, -1, 0, err
 	}
-}
-
-// dirBlockUsed returns the bytes consumed by the given entries.
-func dirBlockUsed(entries []DirEntry) int {
-	used := dirHeaderSize
-	for _, e := range entries {
-		used += DirEntrySize(e.Name)
+	at, off := -1, dirHeaderSize
+	for i := 0; i < count; i++ {
+		nlen, err := dirRecord(p, off, i)
+		if err != nil {
+			return 0, 0, -1, 0, err
+		}
+		if at < 0 && string(p[off+dirRecordHeader:off+dirRecordHeader+nlen]) == name {
+			at, ino = off, Ino(binary.LittleEndian.Uint32(p[off:]))
+		}
+		off += dirRecordHeader + nlen
 	}
-	return used
+	return count, off, at, ino, nil
 }
 
 // DirBlockInsert adds an entry to the block, returning false when the
-// block has no room. It rejects invalid names and duplicate names
-// within the block.
+// block has no room. It rejects invalid names, and names the block
+// already holds with ErrDuplicateName.
 func DirBlockInsert(p []byte, e DirEntry) (bool, error) {
 	if err := ValidName(e.Name); err != nil {
 		return false, err
 	}
-	entries, err := DirBlockEntries(p)
+	count, used, at, _, err := dirScan(p, e.Name)
 	if err != nil {
 		return false, err
 	}
-	for _, x := range entries {
-		if x.Name == e.Name {
-			return false, fmt.Errorf("layout: duplicate directory entry %q", e.Name)
-		}
+	if at >= 0 {
+		return false, ErrDuplicateName
 	}
-	if dirBlockUsed(entries)+DirEntrySize(e.Name) > len(p) {
+	end := used + DirEntrySize(e.Name)
+	if end > len(p) {
 		return false, nil
 	}
-	entries = append(entries, e)
-	encodeDirBlock(entries, p)
+	binary.LittleEndian.PutUint32(p[used:], uint32(e.Ino))
+	binary.LittleEndian.PutUint16(p[used+4:], uint16(len(e.Name)))
+	copy(p[used+dirRecordHeader:], e.Name)
+	clear(p[end:])
+	binary.LittleEndian.PutUint16(p, uint16(count+1))
 	return true, nil
 }
 
 // DirBlockRemove deletes the named entry, reporting whether it was
 // present.
 func DirBlockRemove(p []byte, name string) (bool, error) {
-	entries, err := DirBlockEntries(p)
-	if err != nil {
+	count, used, at, _, err := dirScan(p, name)
+	if err != nil || at < 0 {
 		return false, err
 	}
-	for i, e := range entries {
-		if e.Name == name {
-			entries = append(entries[:i], entries[i+1:]...)
-			encodeDirBlock(entries, p)
-			return true, nil
-		}
-	}
-	return false, nil
+	size := DirEntrySize(name)
+	copy(p[at:], p[at+size:used])
+	clear(p[used-size:])
+	binary.LittleEndian.PutUint16(p, uint16(count-1))
+	return true, nil
 }
 
 // DirBlockFind looks the name up in the block.
 func DirBlockFind(p []byte, name string) (Ino, bool, error) {
-	entries, err := DirBlockEntries(p)
-	if err != nil {
-		return 0, false, err
-	}
-	for _, e := range entries {
-		if e.Name == name {
-			return e.Ino, true, nil
-		}
-	}
-	return 0, false, nil
+	_, _, at, ino, err := dirScan(p, name)
+	return ino, at >= 0, err
 }
 
 // DirBlockCount returns the number of entries in the block.
