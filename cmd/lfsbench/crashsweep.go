@@ -139,7 +139,7 @@ func runCrashSweep(quick bool) error {
 	if benchJSON != "" {
 		// Deterministic counters are JSON numbers (diffed by
 		// benchdiff); wall-clock figures are strings, recorded for
-		// humans but exempt from the ±10% gate — the speedup floor is
+		// humans but exempt from the exact gate — the speedup floor is
 		// enforced above instead.
 		summary := map[string]any{
 			"experiment":            "crashsweep",

@@ -3,204 +3,23 @@ package core
 import (
 	"fmt"
 
+	"lfs/internal/cache"
 	"lfs/internal/layout"
 	"lfs/internal/vfs"
 )
 
-// nameEntry is one directory name cache record: the child's inode
-// number and the directory data block holding the entry. Directory
-// entries never migrate between blocks (inserts and removals rewrite
-// a single block), so the cached block number stays valid for the
-// entry's lifetime.
-type nameEntry struct {
-	ino layout.Ino
-	lbn int64
+// dirSource adapts FS to namei.Blocks. The engine calls it only from
+// FS methods running with fs.mu held (the adapter type keeps it off
+// the FS method set lockcheck audits). Nothing is written
+// synchronously: a dirtied directory block rides the next segment
+// write (Figure 2).
+type dirSource struct{ fs *FS }
+
+func (s dirSource) DirBlock(dir *layout.Inode, lbn int64, grow bool) (*cache.Block, error) {
+	return s.fs.getDataBlock(dir, lbn, grow)
 }
 
-// nameCacheDirLimit bounds one directory's cached entries.
-const nameCacheDirLimit = 32768
-
-// dirBlocks returns the directory's data block count.
-func (fs *FS) dirBlocks(dir *layout.Inode) int64 {
-	return layout.BlocksForSize(dir.Size, fs.cfg.BlockSize)
-}
-
-// cacheName records name→(ino,lbn) for the directory.
-func (fs *FS) cacheName(dir layout.Ino, name string, ino layout.Ino, lbn int64) {
-	m := fs.names[dir]
-	if m == nil {
-		m = make(map[string]nameEntry)
-		fs.names[dir] = m
-	}
-	if len(m) < nameCacheDirLimit {
-		m[name] = nameEntry{ino: ino, lbn: lbn}
-	}
-}
-
-// forgetName drops one cached name.
-func (fs *FS) forgetName(dir layout.Ino, name string) {
-	if m := fs.names[dir]; m != nil {
-		delete(m, name)
-	}
-}
-
-// forgetDir drops a directory's whole name cache (the directory was
-// removed; its inode number may be reused).
-func (fs *FS) forgetDir(dir layout.Ino) {
-	delete(fs.names, dir)
-	delete(fs.insertHint, dir)
-}
-
-// dirLookup searches the directory for name, consulting the name
-// cache first.
-func (fs *FS) dirLookup(dir *layout.Inode, name string) (layout.Ino, bool, error) {
-	if e, ok := fs.names[dir.Ino][name]; ok {
-		return e.ino, true, nil
-	}
-	for lbn := int64(0); lbn < fs.dirBlocks(dir); lbn++ {
-		b, err := fs.getDataBlock(dir, lbn, false)
-		if err != nil {
-			return 0, false, err
-		}
-		if b == nil {
-			return 0, false, fmt.Errorf("lfs: directory %d has a hole at block %d", dir.Ino, lbn)
-		}
-		ino, found, err := layout.DirBlockFind(b.Data, name)
-		if err != nil {
-			return 0, false, err
-		}
-		if found {
-			fs.cacheName(dir.Ino, name, ino, lbn)
-			return ino, true, nil
-		}
-	}
-	return 0, false, nil
-}
-
-// dirInsert adds name→ino, growing the directory when needed. Unlike
-// FFS nothing is written synchronously: the dirtied block rides the
-// next segment write (Figure 2). The per-directory hint makes
-// append-mostly insertion O(1) instead of a scan of every block.
-func (fs *FS) dirInsert(dir *layout.Inode, name string, ino layout.Ino) error {
-	for lbn := fs.insertHint[dir.Ino]; lbn < fs.dirBlocks(dir); lbn++ {
-		b, err := fs.getDataBlock(dir, lbn, false)
-		if err != nil {
-			return err
-		}
-		if b == nil {
-			return fmt.Errorf("lfs: directory %d has a hole at block %d", dir.Ino, lbn)
-		}
-		ok, err := layout.DirBlockInsert(b.Data, layout.DirEntry{Ino: ino, Name: name})
-		if err != nil {
-			return err
-		}
-		if ok {
-			fs.bc.MarkDirty(b, fs.clock.Now())
-			fs.insertHint[dir.Ino] = lbn
-			fs.cacheName(dir.Ino, name, ino, lbn)
-			return nil
-		}
-	}
-	lbn := fs.dirBlocks(dir)
-	b, err := fs.getDataBlock(dir, lbn, true)
-	if err != nil {
-		return err
-	}
-	layout.InitDirBlock(b.Data)
-	ok, err := layout.DirBlockInsert(b.Data, layout.DirEntry{Ino: ino, Name: name})
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("lfs: entry %q does not fit in an empty block", name)
-	}
-	fs.bc.MarkDirty(b, fs.clock.Now())
-	dir.Size += uint64(fs.cfg.BlockSize)
-	fs.markInodeDirty(dir.Ino)
-	fs.insertHint[dir.Ino] = lbn
-	fs.cacheName(dir.Ino, name, ino, lbn)
-	return nil
-}
-
-// dirRemove deletes name from the directory, going straight to the
-// cached block when the name cache knows it.
-func (fs *FS) dirRemove(dir *layout.Inode, name string) error {
-	start := int64(0)
-	if e, ok := fs.names[dir.Ino][name]; ok {
-		start = e.lbn
-	}
-	for pass := 0; pass < 2; pass++ {
-		for lbn := start; lbn < fs.dirBlocks(dir); lbn++ {
-			b, err := fs.getDataBlock(dir, lbn, false)
-			if err != nil {
-				return err
-			}
-			if b == nil {
-				continue
-			}
-			removed, err := layout.DirBlockRemove(b.Data, name)
-			if err != nil {
-				return err
-			}
-			if removed {
-				fs.bc.MarkDirty(b, fs.clock.Now())
-				fs.forgetName(dir.Ino, name)
-				// Freed space may precede the insert hint.
-				if hint, ok := fs.insertHint[dir.Ino]; ok && lbn < hint {
-					fs.insertHint[dir.Ino] = lbn
-				}
-				return nil
-			}
-		}
-		if start == 0 {
-			break // full scan already done
-		}
-		start = 0 // stale hint: rescan from the beginning
-	}
-	return fmt.Errorf("%w: %q", vfs.ErrNotExist, name)
-}
-
-// dirEntries lists the directory in name order.
-func (fs *FS) dirEntries(dir *layout.Inode) ([]layout.DirEntry, error) {
-	var all []layout.DirEntry
-	for lbn := int64(0); lbn < fs.dirBlocks(dir); lbn++ {
-		b, err := fs.getDataBlock(dir, lbn, false)
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			continue
-		}
-		entries, err := layout.DirBlockEntries(b.Data)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, entries...)
-	}
-	layout.SortEntries(all)
-	return all, nil
-}
-
-// dirEmpty reports whether the directory has no entries.
-func (fs *FS) dirEmpty(dir *layout.Inode) (bool, error) {
-	for lbn := int64(0); lbn < fs.dirBlocks(dir); lbn++ {
-		b, err := fs.getDataBlock(dir, lbn, false)
-		if err != nil {
-			return false, err
-		}
-		if b == nil {
-			continue
-		}
-		n, err := layout.DirBlockCount(b.Data)
-		if err != nil {
-			return false, err
-		}
-		if n > 0 {
-			return false, nil
-		}
-	}
-	return true, nil
-}
+func (s dirSource) Dirty(b *cache.Block) { s.fs.bc.MarkDirty(b, s.fs.clock.Now()) }
 
 // resolve walks path components from the root.
 func (fs *FS) resolve(parts []string) (*layout.Inode, error) {
@@ -213,7 +32,7 @@ func (fs *FS) resolve(parts []string) (*layout.Inode, error) {
 		if !in.Mode.IsDir() {
 			return nil, fmt.Errorf("%w: %q", vfs.ErrNotDir, parts[:i])
 		}
-		ino, found, err := fs.dirLookup(in, name)
+		ino, found, err := fs.dirs.Lookup(in, name)
 		if err != nil {
 			return nil, err
 		}

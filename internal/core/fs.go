@@ -7,6 +7,7 @@ import (
 	"lfs/internal/cache"
 	"lfs/internal/disk"
 	"lfs/internal/layout"
+	"lfs/internal/namei"
 	"lfs/internal/obs"
 	"lfs/internal/sim"
 	"lfs/internal/vfs"
@@ -90,16 +91,9 @@ type FS struct {
 	inodes      map[layout.Ino]*layout.Inode
 	dirtyInodes map[layout.Ino]bool
 
-	// names is the directory name cache (the UNIX namei cache both
-	// SunOS and Sprite relied on): per directory, name → (child
-	// inode, directory block holding the entry). Without it,
-	// directory operations scan blocks linearly and the paper's
-	// 10000-files-in-one-directory workload turns quadratic.
-	// Guarded by mu.
-	names map[layout.Ino]map[string]nameEntry
-	// insertHint remembers, per directory, the first data block
-	// that may have room for a new entry. Guarded by mu.
-	insertHint map[layout.Ino]int64
+	// dirs is the directory engine (name cache, insert hints and
+	// block scans) shared with FFS. Guarded by mu.
+	dirs *namei.Engine
 	// lastRead tracks each file's last-read block for sequential
 	// read-ahead detection. Guarded by mu.
 	lastRead map[layout.Ino]int64
@@ -197,8 +191,6 @@ func newSkeleton(d *disk.Disk, cfg Config, sb superblock) *FS {
 		usage:       make([]segUsage, sb.Segments),
 		inodes:      make(map[layout.Ino]*layout.Inode),
 		dirtyInodes: make(map[layout.Ino]bool),
-		names:       make(map[layout.Ino]map[string]nameEntry),
-		insertHint:  make(map[layout.Ino]int64),
 		lastRead:    make(map[layout.Ino]int64),
 		writeSerial: 1,
 		rec:         cfg.Trace,
@@ -208,6 +200,7 @@ func newSkeleton(d *disk.Disk, cfg Config, sb superblock) *FS {
 	for c := range fs.heads {
 		fs.heads[c].buf = make([]byte, cfg.SegmentSize)
 	}
+	fs.dirs = namei.New(dirSource{fs}, cfg.BlockSize)
 	fs.heads[classHot].open = true
 	fs.usage[0].State = segActive
 	fs.cleanCount = int(sb.Segments) - 1

@@ -7,6 +7,7 @@ import (
 	"lfs/internal/cache"
 	"lfs/internal/disk"
 	"lfs/internal/layout"
+	"lfs/internal/namei"
 	"lfs/internal/obs"
 	"lfs/internal/sim"
 	"lfs/internal/vfs"
@@ -40,11 +41,9 @@ type FS struct {
 	// lazily; we keep it in memory and lose it on crash, which the
 	// paper's workloads never observe). Guarded by mu.
 	atimes map[layout.Ino]sim.Time
-	// names is the directory name cache (the namei cache), and
-	// insertHint the per-directory first-block-with-room hint.
-	// Guarded by mu.
-	names      map[layout.Ino]map[string]nameEntry
-	insertHint map[layout.Ino]int64
+	// dirs is the directory engine (name cache, insert hints and
+	// block scans) shared with LFS. Guarded by mu.
+	dirs *namei.Engine
 	// lastRead tracks each file's last-read block for sequential
 	// read-ahead detection. Guarded by mu.
 	lastRead map[layout.Ino]int64
@@ -118,23 +117,22 @@ func Mount(d *disk.Disk, cfg Config) (*FS, error) {
 		return nil, fmt.Errorf("ffs: superblock block size %d != config %d", sb.BlockSize, cfg.BlockSize)
 	}
 	fs := &FS{
-		d:          d,
-		cfg:        cfg,
-		clock:      d.Clock(),
-		cpu:        sim.NewCPU(cfg.MIPS, d.Clock()),
-		bc:         cache.New(cfg.CacheBlocks, cfg.BlockSize),
-		sb:         sb,
-		lay:        newLayout(sb),
-		atimes:     make(map[layout.Ino]sim.Time),
-		names:      make(map[layout.Ino]map[string]nameEntry),
-		insertHint: make(map[layout.Ino]int64),
-		lastRead:   make(map[layout.Ino]int64),
-		rec:        cfg.Trace,
+		d:        d,
+		cfg:      cfg,
+		clock:    d.Clock(),
+		cpu:      sim.NewCPU(cfg.MIPS, d.Clock()),
+		bc:       cache.New(cfg.CacheBlocks, cfg.BlockSize),
+		sb:       sb,
+		lay:      newLayout(sb),
+		atimes:   make(map[layout.Ino]sim.Time),
+		lastRead: make(map[layout.Ino]int64),
+		rec:      cfg.Trace,
 	}
 	// Route blocking-request waits into the phase accumulator. Pure
 	// arithmetic on durations the disk already computed — attaching
 	// the waiter never perturbs the timeline.
 	d.SetWaiter(diskWaiter{fs})
+	fs.dirs = namei.New(dirSource{fs}, cfg.BlockSize)
 	// Rebuild free counts from the bitmaps.
 	fs.freeBlocks = make([]int, sb.Groups)
 	fs.freeInodes = make([]int, sb.Groups)

@@ -1,27 +1,24 @@
 #!/bin/sh
 # benchdiff.sh — compare a fresh benchjson summary against a committed
-# baseline, key by key. The simulation is deterministic, so the
-# numbers should be identical run to run; the tolerance only absorbs
-# intentional model changes small enough not to matter. Anything
-# larger fails the gate so a perf or timing regression cannot land
-# silently.
+# baseline, key by key. Every numeric key is simulated and so
+# deterministic: each fresh value must equal its baseline exactly, and
+# any drift fails the gate so a perf or timing regression cannot land
+# silently. Wall-clock values are strings, which are not compared. An
+# intentional model change re-baselines by committing the new file.
 #
-# Usage: benchdiff.sh baseline.json fresh.json [tolerance]
+# Usage: benchdiff.sh baseline.json fresh.json
 #
 # Both files must contain the same numeric keys in the same order
 # (encoding/json emits map keys sorted and struct fields in order, so
-# the sequence is stable). Each fresh value must lie within tolerance
-# (relative, default 0.10) of its baseline; a zero baseline requires a
-# zero fresh value. Exits non-zero with one line per violation.
+# the sequence is stable). Exits non-zero with one line per violation.
 set -eu
 
-if [ $# -lt 2 ] || [ $# -gt 3 ]; then
-	echo "usage: benchdiff.sh baseline.json fresh.json [tolerance]" >&2
+if [ $# -ne 2 ]; then
+	echo "usage: benchdiff.sh baseline.json fresh.json" >&2
 	exit 2
 fi
 base=$1
 fresh=$2
-tol=${3:-0.10}
 
 if [ ! -f "$base" ]; then
 	echo "benchdiff: baseline $base missing (commit one from a trusted run)" >&2
@@ -32,7 +29,7 @@ if [ ! -f "$fresh" ]; then
 	exit 1
 fi
 
-awk -v tol="$tol" -v base="$base" '
+awk -v base="$base" '
 # Collect `"key": <number>` lines from each file in order. String
 # values ("experiment": "trace") never match and are ignored.
 {
@@ -48,10 +45,10 @@ awk -v tol="$tol" -v base="$base" '
 	sub(/^"[^"]*": */, "", val)
 	if (FILENAME == base) {
 		bkey[++nb] = key
-		bval[nb] = val + 0
+		bval[nb] = val
 	} else {
 		fkey[++nf] = key
-		fval[nf] = val + 0
+		fval[nf] = val
 	}
 }
 function fail(msg) {
@@ -70,21 +67,11 @@ END {
 				i, bkey[i], fkey[i]))
 			break
 		}
-		b = bval[i]
-		f = fval[i]
-		d = f - b
-		if (d < 0) d = -d
-		ab = b < 0 ? -b : b
-		if (ab == 0) {
-			if (d != 0)
-				fail(sprintf("%s: baseline 0, fresh %g", bkey[i], f))
-		} else if (d > tol * ab) {
-			fail(sprintf("%s: baseline %g, fresh %g (%.1f%% off, tolerance %.0f%%)",
-				bkey[i], b, f, 100 * d / ab, 100 * tol))
-		}
+		if (fval[i] + 0 != bval[i] + 0)
+			fail(sprintf("%s: baseline %s, fresh %s", bkey[i], bval[i], fval[i]))
 	}
 	if (bad)
 		exit 1
-	printf "benchdiff: %d keys within %.0f%% of %s\n", n, 100 * tol, base
+	printf "benchdiff: %d keys equal to %s\n", n, base
 }
 ' "$base" "$fresh"

@@ -35,16 +35,16 @@ go test -race ./...
 echo "== tracing smoke =="
 # Instrumented small-file + cleaning run: exports the JSONL trace,
 # summarises it with lfstrace, and writes the headline numbers
-# (write cost, ops/s, attribution share) to a fresh summary that is
-# diffed against the committed BENCH_trace.json baseline (±10%)
-# before replacing it — a silent perf regression fails here.
+# (write cost, ops/s, attribution share) to a fresh summary that must
+# match the committed BENCH_trace.json baseline exactly — a silent
+# perf regression fails here. No step rewrites a committed baseline:
+# an intentional model change commits the new file by hand.
 go run ./cmd/lfsbench -experiment trace -quick \
 	-trace "$tracedir/trace.jsonl" -benchjson "$tracedir/BENCH_trace.json"
 go run ./cmd/lfstrace "$tracedir/trace.jsonl" > /dev/null
 go run ./cmd/lfstrace -critpath "$tracedir/trace.jsonl" > /dev/null
 go run ./cmd/lfstrace -json "$tracedir/trace.jsonl" > /dev/null
 scripts/benchdiff.sh BENCH_trace.json "$tracedir/BENCH_trace.json"
-mv "$tracedir/BENCH_trace.json" BENCH_trace.json
 echo "== concurrency smoke =="
 # Multi-client throughput curve (LFS group commit vs ablation vs FFS)
 # with the metrics plane sampling every instance; the time series is
@@ -54,7 +54,6 @@ go run ./cmd/lfsbench -experiment concurrency -quick \
 	-benchjson "$tracedir/BENCH_concurrency.json"
 go run ./cmd/lfstop "$tracedir/concurrency.metrics.jsonl" > /dev/null
 scripts/benchdiff.sh BENCH_concurrency.json "$tracedir/BENCH_concurrency.json"
-mv "$tracedir/BENCH_concurrency.json" BENCH_concurrency.json
 echo "== critical-path smoke =="
 # Latency-attribution smoke: the group-commit fsync sweep with every
 # span's phase decomposition checked for exactness — lfsbench fails
@@ -65,7 +64,6 @@ echo "== critical-path smoke =="
 go run ./cmd/lfsbench -experiment critpath -quick \
 	-benchjson "$tracedir/BENCH_critpath.json"
 scripts/benchdiff.sh BENCH_critpath.json "$tracedir/BENCH_critpath.json"
-mv "$tracedir/BENCH_critpath.json" BENCH_critpath.json
 echo "== cleaning-curve smoke =="
 # Write-cost-vs-utilization curve (greedy vs cost-benefit vs
 # cost-benefit+segregation) under the seeded Zipf overwrite load at
@@ -75,7 +73,6 @@ echo "== cleaning-curve smoke =="
 go run ./cmd/lfsbench -experiment cleaning-curve -quick \
 	-benchjson "$tracedir/BENCH_cleaning.json"
 scripts/benchdiff.sh BENCH_cleaning.json "$tracedir/BENCH_cleaning.json"
-mv "$tracedir/BENCH_cleaning.json" BENCH_cleaning.json
 echo "== sharding smoke =="
 # Multi-log scale-out smoke: the quick ops/s-vs-shard-count sweep
 # plus the four-shard crash scenario (power cut on shard 0 mid-write,
@@ -90,7 +87,6 @@ go run ./cmd/lfsbench -experiment sharding -quick \
 	-benchjson "$tracedir/BENCH_sharding.json"
 go run ./cmd/lfstop "$tracedir/sharding.metrics.jsonl" > /dev/null
 scripts/benchdiff.sh BENCH_sharding.json "$tracedir/BENCH_sharding.json"
-mv "$tracedir/BENCH_sharding.json" BENCH_sharding.json
 echo "== store conformance =="
 # The pluggable-store acceptance gate, run explicitly (it is also part
 # of `go test ./...` above): every backend — mem, cow, file, mmap —
@@ -106,7 +102,6 @@ echo "== crashsweep smoke =="
 go run ./cmd/lfsbench -experiment crashsweep -quick \
 	-benchjson "$tracedir/BENCH_crashsweep.json"
 scripts/benchdiff.sh BENCH_crashsweep.json "$tracedir/BENCH_crashsweep.json"
-mv "$tracedir/BENCH_crashsweep.json" BENCH_crashsweep.json
 echo "== metrics smoke =="
 # Metrics-plane smoke: small-file + cleaning run under the sampler,
 # final sample pinned to the end-of-run aggregates; the series feeds
@@ -116,5 +111,4 @@ go run ./cmd/lfsbench -experiment metrics -quick \
 	-benchjson "$tracedir/BENCH_metrics.json"
 go run ./cmd/lfstop "$tracedir/metrics.jsonl" > /dev/null
 scripts/benchdiff.sh BENCH_metrics.json "$tracedir/BENCH_metrics.json"
-mv "$tracedir/BENCH_metrics.json" BENCH_metrics.json
 echo "ci passed"
