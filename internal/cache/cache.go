@@ -11,11 +11,12 @@
 // of §4.3.5), and pinning for blocks mid-operation. Eviction never
 // touches dirty or pinned blocks: write-back policy belongs to the
 // owning file system, which consults DirtyCount, Overfull, and
-// OldestDirty after each operation.
+// OldestDirty after each operation. A full cache serves a miss
+// without allocating: Add recycles the block it evicts (see Block for
+// the lifetime this gives every *Block).
 package cache
 
 import (
-	"container/list"
 	"fmt"
 
 	"lfs/internal/layout"
@@ -53,6 +54,13 @@ func (k Key) String() string {
 }
 
 // Block is one cached block. Data always has the cache's block size.
+//
+// A *Block is valid until the next Add, Remove or Clear on its cache
+// unless it is pinned: Add recycles, Data and all, the block it
+// evicts or else the last unpinned block Remove or RemoveIno dropped.
+// A caller that holds a block across a call that may Add another (a
+// read-ahead run, an indirect-block chain, a bitmap allocation) pins
+// it first.
 type Block struct {
 	Key  Key
 	Data []byte
@@ -61,10 +69,11 @@ type Block struct {
 	dirtiedAt sim.Time
 	pins      int
 
-	lruElem   *list.Element // position in c.lru
-	dirtyElem *list.Element // position in c.dirty when dirty
-
-	inoPrev, inoNext *Block // neighbours in c.byIno[Key.Ino]
+	// link threads the block through c.lru (always) and c.dirty
+	// (while dirty); see list.
+	link [numLists]links
+	// inoPrev and inoNext are neighbours in c.byIno[Key.Ino].
+	inoPrev, inoNext *Block
 }
 
 // Dirty reports whether the block has unwritten modifications.
@@ -104,12 +113,15 @@ type Cache struct {
 	capacity  int
 
 	blocks map[Key]*Block
-	lru    *list.List // front = most recent; values are *Block
-	dirty  *list.List // front = oldest dirtied; values are *Block
+	lru    list // front = most recent
+	dirty  list // front = oldest dirtied
 	// byIno heads an intrusive list (Block.inoPrev/inoNext) of every
 	// cached block of each inode, of any Kind, so unlink drops a
 	// file's blocks without walking the whole cache.
 	byIno map[layout.Ino]*Block
+	// spare is the last unpinned block Remove or RemoveIno dropped,
+	// kept for the next Add that evicts nothing.
+	spare *Block
 
 	stats Stats
 }
@@ -124,8 +136,8 @@ func New(capacity, blockSize int) *Cache {
 		capacity:  capacity,
 		blocks:    make(map[Key]*Block),
 		byIno:     make(map[layout.Ino]*Block),
-		lru:       list.New(),
-		dirty:     list.New(),
+		lru:       list{which: lruList},
+		dirty:     list{which: dirtyList},
 	}
 }
 
@@ -139,7 +151,7 @@ func (c *Cache) Capacity() int { return c.capacity }
 func (c *Cache) Len() int { return len(c.blocks) }
 
 // DirtyCount returns the number of dirty blocks.
-func (c *Cache) DirtyCount() int { return c.dirty.Len() }
+func (c *Cache) DirtyCount() int { return c.dirty.n }
 
 // Stats returns a snapshot of the activity counters.
 func (c *Cache) Stats() Stats { return c.stats }
@@ -153,7 +165,7 @@ func (c *Cache) Get(k Key) *Block {
 		return nil
 	}
 	c.stats.Hits++
-	c.lru.MoveToFront(b.lruElem)
+	c.lru.moveToFront(b)
 	return b
 }
 
@@ -163,16 +175,25 @@ func (c *Cache) Peek(k Key) *Block {
 	return c.blocks[k]
 }
 
-// Add allocates a zeroed block for k, inserting it and evicting clean
-// unpinned LRU blocks as needed. Adding an existing key panics — the
-// caller must Get first.
+// Add returns a zeroed block for k, inserting it and evicting clean
+// unpinned LRU blocks as needed; the last block evicted is recycled as
+// the new one. Adding an existing key panics — the caller must Get
+// first.
 func (c *Cache) Add(k Key) *Block {
 	if _, exists := c.blocks[k]; exists {
 		panic(fmt.Sprintf("cache: Add of existing key %v", k))
 	}
-	c.evictFor(1)
-	b := &Block{Key: k, Data: make([]byte, c.blockSize)}
-	b.lruElem = c.lru.PushFront(b)
+	b := c.evictFor(1)
+	if b == nil {
+		b, c.spare = c.spare, nil
+	}
+	if b == nil {
+		b = &Block{Data: make([]byte, c.blockSize)}
+	} else {
+		clear(b.Data)
+	}
+	b.Key = k
+	c.lru.pushFront(b)
 	c.blocks[k] = b
 	if head := c.byIno[k.Ino]; head != nil {
 		head.inoPrev, b.inoNext = b, head
@@ -183,19 +204,23 @@ func (c *Cache) Add(k Key) *Block {
 }
 
 // evictFor evicts clean, unpinned LRU blocks until there is room for n
-// more blocks or no evictable block remains.
-func (c *Cache) evictFor(n int) {
+// more blocks or no evictable block remains. It returns the last block
+// evicted, unlinked and free for reuse, or nil.
+func (c *Cache) evictFor(n int) *Block {
+	var last *Block
 	for len(c.blocks)+n > c.capacity {
 		victim := c.evictable()
 		if victim == nil {
-			return // over capacity: the FS must write back
+			break // over capacity: the FS must write back
 		}
 		if DebugEvict != nil {
 			DebugEvict(victim.Key)
 		}
 		c.remove(victim)
 		c.stats.Evictions++
+		last = victim
 	}
+	return last
 }
 
 // evictable returns the least recently used clean, unpinned block,
@@ -204,8 +229,7 @@ func (c *Cache) evictFor(n int) {
 // and real buffer caches gave it priority for the same reason.
 func (c *Cache) evictable() *Block {
 	var meta *Block
-	for e := c.lru.Back(); e != nil; e = e.Prev() {
-		b := e.Value.(*Block)
+	for b := c.lru.tail; b != nil; b = b.link[lruList].prev {
 		if b.dirty || b.pins > 0 {
 			continue
 		}
@@ -224,7 +248,7 @@ func (c *Cache) evictable() *Block {
 // the condition that forces a write-back (the "cache full" trigger of
 // §4.3.5).
 func (c *Cache) Overfull() bool {
-	if c.dirty.Len() >= c.capacity {
+	if c.dirty.n >= c.capacity {
 		return true
 	}
 	return len(c.blocks) > c.capacity && c.evictable() == nil
@@ -233,7 +257,7 @@ func (c *Cache) Overfull() bool {
 // AboveDirtyWatermark reports whether dirty blocks exceed the given
 // fraction of capacity.
 func (c *Cache) AboveDirtyWatermark(frac float64) bool {
-	return float64(c.dirty.Len()) > frac*float64(c.capacity)
+	return float64(c.dirty.n) > frac*float64(c.capacity)
 }
 
 // MarkDirty records a modification to b at the given time. Re-dirtying
@@ -245,7 +269,7 @@ func (c *Cache) MarkDirty(b *Block, now sim.Time) {
 	}
 	b.dirty = true
 	b.dirtiedAt = now
-	b.dirtyElem = c.dirty.PushBack(b)
+	c.dirty.pushBack(b)
 }
 
 // MarkClean records that b has been written to disk.
@@ -254,8 +278,7 @@ func (c *Cache) MarkClean(b *Block) {
 		return
 	}
 	b.dirty = false
-	c.dirty.Remove(b.dirtyElem)
-	b.dirtyElem = nil
+	c.dirty.remove(b)
 }
 
 // Pin protects b from eviction until a matching Unpin.
@@ -274,15 +297,24 @@ func (c *Cache) Unpin(b *Block) {
 func (c *Cache) Remove(k Key) {
 	if b, ok := c.blocks[k]; ok {
 		c.remove(b)
+		c.release(b)
+	}
+}
+
+// release keeps a block Remove or RemoveIno dropped as the spare for
+// the next Add, unless a holder has it pinned.
+func (c *Cache) release(b *Block) {
+	if b.pins == 0 {
+		c.spare = b
 	}
 }
 
 // remove unlinks b from all structures.
 func (c *Cache) remove(b *Block) {
 	delete(c.blocks, b.Key)
-	c.lru.Remove(b.lruElem)
+	c.lru.remove(b)
 	if b.dirty {
-		c.dirty.Remove(b.dirtyElem)
+		c.dirty.remove(b)
 	}
 	switch {
 	case b.inoPrev != nil:
@@ -295,7 +327,6 @@ func (c *Cache) remove(b *Block) {
 	if b.inoNext != nil {
 		b.inoNext.inoPrev = b.inoPrev
 	}
-	b.lruElem, b.dirtyElem = nil, nil
 	b.inoPrev, b.inoNext = nil, nil
 	b.dirty = false
 }
@@ -306,6 +337,7 @@ func (c *Cache) RemoveIno(ino layout.Ino) int {
 	n := 0
 	for b := c.byIno[ino]; b != nil; b = c.byIno[ino] {
 		c.remove(b)
+		c.release(b)
 		n++
 	}
 	return n
@@ -333,20 +365,19 @@ func (c *Cache) DropClean() int {
 // first). The slice is a snapshot; callers may MarkClean entries while
 // iterating it.
 func (c *Cache) DirtyBlocks() []*Block {
-	out := make([]*Block, 0, c.dirty.Len())
-	for e := c.dirty.Front(); e != nil; e = e.Next() {
-		out = append(out, e.Value.(*Block))
+	out := make([]*Block, 0, c.dirty.n)
+	for b := c.dirty.head; b != nil; b = b.link[dirtyList].next {
+		out = append(out, b)
 	}
 	return out
 }
 
 // OldestDirty returns the dirtied time of the oldest dirty block.
 func (c *Cache) OldestDirty() (sim.Time, bool) {
-	e := c.dirty.Front()
-	if e == nil {
+	if c.dirty.head == nil {
 		return 0, false
 	}
-	return e.Value.(*Block).dirtiedAt, true
+	return c.dirty.head.dirtiedAt, true
 }
 
 // Clear drops everything, including dirty blocks — the crash
@@ -354,6 +385,71 @@ func (c *Cache) OldestDirty() (sim.Time, bool) {
 func (c *Cache) Clear() {
 	c.blocks = make(map[Key]*Block)
 	c.byIno = make(map[layout.Ino]*Block)
-	c.lru.Init()
-	c.dirty.Init()
+	c.lru = list{which: lruList}
+	c.dirty = list{which: dirtyList}
+	c.spare = nil
+}
+
+// Lists threaded through Block.link.
+const (
+	lruList = iota
+	dirtyList
+	numLists
+)
+
+// links is a block's position in one list.
+type links struct{ prev, next *Block }
+
+// list is an intrusive doubly linked list of blocks threaded through
+// Block.link[which], so keeping the LRU and dirty orders allocates
+// nothing.
+type list struct {
+	which      int
+	head, tail *Block
+	n          int
+}
+
+func (l *list) pushFront(b *Block) {
+	b.link[l.which] = links{next: l.head}
+	if l.head != nil {
+		l.head.link[l.which].prev = b
+	} else {
+		l.tail = b
+	}
+	l.head = b
+	l.n++
+}
+
+func (l *list) pushBack(b *Block) {
+	b.link[l.which] = links{prev: l.tail}
+	if l.tail != nil {
+		l.tail.link[l.which].next = b
+	} else {
+		l.head = b
+	}
+	l.tail = b
+	l.n++
+}
+
+func (l *list) remove(b *Block) {
+	lk := &b.link[l.which]
+	if lk.prev != nil {
+		lk.prev.link[l.which].next = lk.next
+	} else {
+		l.head = lk.next
+	}
+	if lk.next != nil {
+		lk.next.link[l.which].prev = lk.prev
+	} else {
+		l.tail = lk.prev
+	}
+	*lk = links{}
+	l.n--
+}
+
+func (l *list) moveToFront(b *Block) {
+	if l.head != b {
+		l.remove(b)
+		l.pushFront(b)
+	}
 }

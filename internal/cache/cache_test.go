@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -266,6 +267,175 @@ func TestClear(t *testing.T) {
 	}
 }
 
+func TestAddRecyclesEvictedBlock(t *testing.T) {
+	c := New(2, 512)
+	old := c.Add(key(1, 0))
+	for i := range old.Data {
+		old.Data[i] = 0xEE
+	}
+	c.MarkDirty(old, 5)
+	c.MarkClean(old)
+	c.Add(key(2, 0))
+	b := c.Add(key(3, 0)) // evicts key(1, 0), the LRU block
+	if b != old {
+		t.Fatal("Add did not recycle the block it evicted")
+	}
+	if b.Key != key(3, 0) || c.Peek(key(3, 0)) != b || c.Peek(key(1, 0)) != nil {
+		t.Fatalf("recycled block under key %v", b.Key)
+	}
+	for i, x := range b.Data {
+		if x != 0 {
+			t.Fatalf("recycled block byte %d = %#x, want 0", i, x)
+		}
+	}
+	if b.Dirty() || b.Pinned() {
+		t.Fatal("recycled block kept its previous state")
+	}
+	if !inoIndexConsistent(c) || c.Len() != 2 {
+		t.Fatal("cache structures inconsistent after recycling")
+	}
+
+	// A removed block is reused by the next Add that evicts nothing;
+	// a pinned one is not, since its holder still reads it.
+	b.Data[0] = 1
+	c.Remove(key(3, 0))
+	if r := c.Add(key(4, 0)); r != b || r.Data[0] != 0 || r.Key != key(4, 0) {
+		t.Fatal("Add did not reuse the zeroed removed block")
+	}
+	c.Pin(b)
+	c.Remove(key(4, 0))
+	if r := c.Add(key(5, 0)); r == b {
+		t.Fatal("Add reused a pinned removed block")
+	}
+	if b.Key != key(4, 0) {
+		t.Fatal("pinned removed block was modified")
+	}
+	c.Unpin(b)
+}
+
+// lruKeys returns the cached keys from most to least recently used.
+func lruKeys(c *Cache) []Key {
+	var out []Key
+	for b := c.lru.head; b != nil; b = b.link[lruList].next {
+		out = append(out, b.Key)
+	}
+	return out
+}
+
+func dirtyKeys(c *Cache) []Key {
+	var out []Key
+	for _, b := range c.DirtyBlocks() {
+		out = append(out, b.Key)
+	}
+	return out
+}
+
+func TestListOrders(t *testing.T) {
+	c := New(8, 64)
+	for i := 1; i <= 5; i++ {
+		c.Add(key(i, 0))
+	}
+	c.Get(key(3, 0)) // middle to front
+	c.Get(key(1, 0)) // tail to front
+	c.Get(key(1, 0)) // already at front
+	if got, want := lruKeys(c), []Key{key(1, 0), key(3, 0), key(5, 0), key(4, 0), key(2, 0)}; !slices.Equal(got, want) {
+		t.Fatalf("LRU order %v, want %v", got, want)
+	}
+	// The list is consistent walked backwards too.
+	n := 0
+	for b := c.lru.tail; b != nil; b = b.link[lruList].prev {
+		n++
+	}
+	if n != c.Len() {
+		t.Fatalf("backward walk saw %d blocks, want %d", n, c.Len())
+	}
+
+	for i, ino := range []int{4, 2, 5, 1} {
+		c.MarkDirty(c.Peek(key(ino, 0)), sim.Time(10*(i+1)))
+	}
+	c.MarkDirty(c.Peek(key(2, 0)), 99) // re-dirtying keeps position and time
+	if got, want := dirtyKeys(c), []Key{key(4, 0), key(2, 0), key(5, 0), key(1, 0)}; !slices.Equal(got, want) {
+		t.Fatalf("dirty order %v, want %v", got, want)
+	}
+	c.MarkClean(c.Peek(key(2, 0))) // middle
+	c.MarkClean(c.Peek(key(4, 0))) // head
+	if at, ok := c.OldestDirty(); !ok || at != 30 {
+		t.Fatalf("OldestDirty = %v %v, want 30 true", at, ok)
+	}
+	c.MarkDirty(c.Peek(key(4, 0)), 50) // re-dirtied goes to the back
+	c.MarkClean(c.Peek(key(4, 0)))     // tail
+	c.MarkDirty(c.Peek(key(3, 0)), 60)
+	if got, want := dirtyKeys(c), []Key{key(5, 0), key(1, 0), key(3, 0)}; !slices.Equal(got, want) {
+		t.Fatalf("dirty order %v, want %v", got, want)
+	}
+	if c.DirtyCount() != 3 {
+		t.Fatalf("DirtyCount = %d, want 3", c.DirtyCount())
+	}
+
+	// RemoveIno and Remove unlink dirty blocks from both lists.
+	c.RemoveIno(1)
+	c.Remove(key(3, 0))
+	if got, want := dirtyKeys(c), []Key{key(5, 0)}; !slices.Equal(got, want) {
+		t.Fatalf("dirty order after removals %v, want %v", got, want)
+	}
+	if got, want := lruKeys(c), []Key{key(5, 0), key(4, 0), key(2, 0)}; !slices.Equal(got, want) {
+		t.Fatalf("LRU order after removals %v, want %v", got, want)
+	}
+
+	// Eviction takes the LRU tail first.
+	var evicted []Key
+	DebugEvict = func(k Key) { evicted = append(evicted, k) }
+	defer func() { DebugEvict = nil }()
+	for i := 10; i < 16; i++ {
+		c.Add(key(i, 0))
+	}
+	if want := []Key{key(2, 0)}; !slices.Equal(evicted, want) {
+		t.Fatalf("evicted %v, want %v", evicted, want)
+	}
+
+	c.Clear()
+	if c.Len() != 0 || c.DirtyCount() != 0 || len(lruKeys(c)) != 0 || len(dirtyKeys(c)) != 0 {
+		t.Fatal("Clear left list entries behind")
+	}
+	c.MarkDirty(c.Add(key(1, 0)), 1)
+	if got, want := dirtyKeys(c), []Key{key(1, 0)}; !slices.Equal(got, want) || !inoIndexConsistent(c) {
+		t.Fatalf("cache after Clear and re-add: dirty %v", got)
+	}
+}
+
+// TestSteadyStateAllocatesNothing runs a Get miss, an evicting Add, a
+// dirty/clean cycle, a Remove and a refilling Add on a full cache:
+// with blocks recycled and the lists intrusive, none of it allocates.
+func TestSteadyStateAllocatesNothing(t *testing.T) {
+	const capacity = 64
+	c := New(capacity, 4096)
+	for i := 0; i < capacity; i++ {
+		c.Add(key(1+i%4, int64(i)))
+	}
+	next := int64(capacity)
+	cycle := func() {
+		k := key(1+int(next%4), next)
+		next++
+		if c.Get(k) != nil {
+			t.Fatal("hit on a fresh key")
+		}
+		b := c.Add(k) // evicts the LRU block and recycles it
+		c.MarkDirty(b, sim.Time(next))
+		c.MarkClean(b)
+		c.Remove(k)                     // b becomes the spare
+		c.Add(key(1+int(next%4), next)) // refills the cache from it
+		next++
+	}
+	evictions := c.Stats().Evictions
+	if n := testing.AllocsPerRun(1000, cycle); n != 0 {
+		t.Fatalf("%v allocs per steady-state cycle, want 0", n)
+	}
+	if c.Len() != capacity || c.Stats().Evictions-evictions < 1000 {
+		t.Fatalf("len %d, %d evictions: the cycle did not run on a full cache",
+			c.Len(), c.Stats().Evictions-evictions)
+	}
+}
+
 func TestKeyString(t *testing.T) {
 	if key(1, 2).String() == "" {
 		t.Fatal("empty Key.String")
@@ -333,8 +503,7 @@ func TestCacheInvariantsProperty(t *testing.T) {
 // cached block under its own inode, with one head per inode.
 func inoIndexConsistent(c *Cache) bool {
 	heads := 0
-	for e := c.lru.Front(); e != nil; e = e.Next() {
-		b := e.Value.(*Block)
+	for b := c.lru.head; b != nil; b = b.link[lruList].next {
 		switch p := b.inoPrev; {
 		case p == nil && c.byIno[b.Key.Ino] != b, p != nil && p.inoNext != b:
 			return false
@@ -345,7 +514,7 @@ func inoIndexConsistent(c *Cache) bool {
 			return false
 		}
 	}
-	return heads == len(c.byIno) && c.lru.Len() == len(c.blocks)
+	return heads == len(c.byIno) && c.lru.n == len(c.blocks)
 }
 
 func TestEvictionStress(t *testing.T) {
@@ -372,6 +541,23 @@ func BenchmarkCacheGetHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Get(key(1, int64(i%1024)))
+	}
+}
+
+// BenchmarkCacheAddEvict measures a miss-and-Add on a full cache, so
+// every Add evicts (and recycles) the LRU block.
+func BenchmarkCacheAddEvict(b *testing.B) {
+	c := New(256, 4096)
+	for i := 0; i < 256; i++ {
+		c.Add(key(1, int64(i)))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := key(1, int64(256+i))
+		if c.Get(k) == nil {
+			c.Add(k)
+		}
 	}
 }
 

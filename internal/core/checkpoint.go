@@ -471,7 +471,7 @@ func (fs *FS) replayUnitAt(class writeClass, seg, blk int, ckptTime sim.Time, ac
 	if err := fs.d.ReadSectors(fs.blockSector(seg, blk), unit, disk.CauseRecovery, "recovery: unit"); err != nil {
 		return false, err
 	}
-	h, refs, err := decodeSummary(unit)
+	h, refs, err := fs.decodeUnitSummary(unit)
 	if err != nil || h.Serial != fs.writeSerial || h.Timestamp < ckptTime || h.Class != class {
 		return false, nil
 	}
@@ -534,6 +534,16 @@ func (fs *FS) replayUnitAt(class writeClass, seg, blk int, ckptTime sim.Time, ac
 	fs.writeSerial++
 	fs.stats.RollForwardUnits++
 	return true, nil
+}
+
+// decodeUnitSummary is decodeSummary into the FS's reusable entry
+// slice: the returned refs are valid until the next call.
+func (fs *FS) decodeUnitSummary(p []byte) (summaryHeader, []blockRef, error) {
+	h, refs, err := decodeSummary(p, fs.sumRefs)
+	if err == nil {
+		fs.sumRefs = refs
+	}
+	return h, refs, err
 }
 
 // decodeSummaryHeaderOnly parses just the summary header (entry

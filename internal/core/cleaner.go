@@ -67,6 +67,9 @@ func (fs *FS) cleanUntil(target int) (CleanResult, error) {
 	cleanT0 := fs.clock.Now()
 	defer func() {
 		fs.cleaning = false
+		// The activation's scratch goes with it: nothing holds the
+		// victim buffer or the relocation map between activations.
+		fs.segBuf, fs.coldAges = nil, nil
 		fs.phases.Add(obs.PhaseCleaner, fs.clock.Now().Sub(cleanT0))
 	}()
 	fs.stats.CleanerRuns++
@@ -260,8 +263,14 @@ func (fs *FS) cleanBatch(victims []int) (CleanResult, error) {
 		util   float64
 	}
 	stats := make([]victimStat, 0, len(victims))
-	fs.coldAges = make(map[cache.Key]sim.Time)
-	defer func() { fs.coldAges = nil }()
+	// One relocation map serves every batch of an activation; it is
+	// left empty between batches so flushes outside the pass (the
+	// mid-run checkpoints) see no relocations.
+	if fs.coldAges == nil {
+		fs.coldAges = make(map[cache.Key]sim.Time)
+	}
+	clear(fs.coldAges)
+	defer clear(fs.coldAges)
 	for _, seg := range victims {
 		if fs.usage[seg].State != segDirty {
 			return res, fmt.Errorf("lfs: cleaning segment %d in state %d", seg, fs.usage[seg].State)
@@ -325,8 +334,14 @@ func (fs *FS) reviveSegment(seg int) (copied, examined int, err error) {
 	if srcAge == 0 {
 		srcAge = fs.usage[seg].LastWrite
 	}
-	// Phase 1: one large sequential read of the whole segment.
-	raw := make([]byte, fs.sb.SegmentSize)
+	// Phase 1: one large sequential read of the whole segment, into
+	// the activation's victim buffer. Nothing below keeps a slice of
+	// it: revived blocks are copied into the cache, and summaries and
+	// inodes are decoded into values.
+	if fs.segBuf == nil {
+		fs.segBuf = make([]byte, fs.sb.SegmentSize)
+	}
+	raw := fs.segBuf
 	fs.cpu.Charge(fs.cfg.Costs.DiskOpSetup)
 	if err := fs.d.ReadSectors(fs.segFirstSector(seg), raw, disk.CauseCleanerRead, "cleaner: segment read"); err != nil {
 		return copied, examined, err
@@ -335,7 +350,7 @@ func (fs *FS) reviveSegment(seg int) (copied, examined int, err error) {
 	bs := fs.cfg.BlockSize
 	blk := 0
 	for blk < fs.cfg.blocksPerSegment() {
-		h, refs, err := decodeSummary(raw[blk*bs:])
+		h, refs, err := fs.decodeUnitSummary(raw[blk*bs:])
 		if err != nil {
 			break // end of the segment's used region
 		}

@@ -101,7 +101,7 @@ func Dump(w io.Writer, d *disk.Disk, segments bool) error {
 			if err := d.ReadSectors(first+int64(blk)*spb, unit, disk.CauseTool, "dump: unit"); err != nil {
 				return err
 			}
-			hh, refs, err := decodeSummary(unit)
+			hh, refs, err := decodeSummary(unit, nil)
 			if err != nil {
 				break
 			}

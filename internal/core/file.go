@@ -88,18 +88,30 @@ func (fs *FS) readDataBlock(in *layout.Inode, lbn int64) (*cache.Block, error) {
 		run++
 	}
 	fs.cpu.Charge(fs.cfg.Costs.BlockSetup + fs.cfg.Costs.DiskOpSetup)
+	if run == 1 {
+		// A single block reads straight into its cache block.
+		b := fs.bc.Add(key)
+		if err := fs.d.ReadSectors(int64(addr), b.Data, disk.CauseReadMiss, "file read"); err != nil {
+			fs.bc.Remove(key)
+			return nil, err
+		}
+		return b, nil
+	}
 	span := make([]byte, run*bs)
 	if err := fs.d.ReadSectors(int64(addr), span, disk.CauseReadMiss, "file read"); err != nil {
 		return nil, err
 	}
-	var first *cache.Block
-	for i := 0; i < run; i++ {
+	// The returned block stays pinned while the rest of the run is
+	// added: with every other block dirty, those Adds would evict it
+	// and recycle it for a successor.
+	first := fs.bc.Add(key)
+	copy(first.Data, span[:bs])
+	fs.bc.Pin(first)
+	for i := 1; i < run; i++ {
 		b := fs.bc.Add(dataKey(in.Ino, lbn+int64(i)))
 		copy(b.Data, span[i*bs:(i+1)*bs])
-		if i == 0 {
-			first = b
-		}
 	}
+	fs.bc.Unpin(first)
 	return first, nil
 }
 

@@ -107,11 +107,23 @@ type FS struct {
 	heads [numClasses]logHead
 
 	// coldAges marks cache blocks revived by the current cleaner pass
-	// as relocations (nil outside a pass), each mapped to its victim
-	// segment's data age: the segment writer routes them to the cold
+	// as relocations (empty outside a pass, and nil outside a cleaner
+	// activation), each mapped to its victim segment's data age: the segment writer routes them to the cold
 	// head and credits them with that age rather than the current
 	// time. Guarded by mu.
 	coldAges map[cache.Key]sim.Time
+	// segBuf receives each victim segment the cleaner reads. It is
+	// allocated on an activation's first victim and dropped when the
+	// activation ends, so it costs one allocation per activation and
+	// no memory between them. Guarded by mu.
+	segBuf []byte
+	// sumRefs is the reusable entry slice decodeUnitSummary decodes
+	// into; its length is bounded by the blocks of one segment.
+	// Guarded by mu.
+	sumRefs []blockRef
+	// inodeBuf receives the inode block getInode reads. Guarded by
+	// mu.
+	inodeBuf []byte
 
 	// writeSerial numbers log units; ckptSerial numbers
 	// checkpoints. Guarded by mu.

@@ -92,7 +92,10 @@ func (fs *FS) getInode(ino layout.Ino) (*layout.Inode, error) {
 	rel := int64(e.Addr) - fs.segFirstSector(seg)
 	blockStart := fs.segFirstSector(seg) + rel/spb*spb
 	fs.cpu.Charge(fs.cfg.Costs.BlockSetup + fs.cfg.Costs.DiskOpSetup)
-	blk := make([]byte, fs.cfg.BlockSize)
+	if fs.inodeBuf == nil {
+		fs.inodeBuf = make([]byte, fs.cfg.BlockSize)
+	}
+	blk := fs.inodeBuf // records are decoded into values; nothing keeps it
 	if err := fs.d.ReadSectors(blockStart, blk, disk.CauseInodeMap, "inode read"); err != nil {
 		return nil, err
 	}
@@ -264,6 +267,8 @@ func (fs *FS) setBlockAddr(in *layout.Inode, lbn int64, addr layout.DiskAddr) (l
 		if err != nil {
 			return layout.NilAddr, err
 		}
+		// outer is not touched after the inner fetch, whose Add may
+		// evict and recycle it.
 		innerAddr := loadAddr(outer, path.Outer)
 		inner, err := fs.getIndirect(in.Ino, indDoubleInnerBase+int64(path.Outer), innerAddr, true)
 		if err != nil {

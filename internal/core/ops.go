@@ -662,7 +662,7 @@ func (fs *FS) FlushAsync() error {
 	if err := fs.checkMounted(); err != nil {
 		return vfs.WrapPathError("flush", "/", err)
 	}
-	if len(fs.dirtyInodes) == 0 && len(fs.bc.DirtyBlocks()) == 0 {
+	if len(fs.dirtyInodes) == 0 && fs.bc.DirtyCount() == 0 {
 		return nil
 	}
 	fs.cpu.Charge(fs.cfg.Costs.Syscall)

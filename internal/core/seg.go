@@ -2,7 +2,9 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 
 	"lfs/internal/layout"
 	"lfs/internal/sim"
@@ -230,16 +232,31 @@ func encodeSummary(h summaryHeader, refs []blockRef, p []byte) {
 	le.PutUint32(p[28:], crc)
 }
 
-// decodeSummary parses a unit summary from p. It returns an error for
-// anything that is not a valid summary (the roll-forward stop
-// condition).
-func decodeSummary(p []byte) (summaryHeader, []blockRef, error) {
+// Summary decode failures. They are sentinels, not formatted errors,
+// because reading past a segment's last unit is the normal way the
+// cleaner and roll-forward find its end.
+var (
+	errSummaryShort    = errors.New("lfs: summary shorter than header")
+	errSummaryMagic    = errors.New("lfs: bad summary magic")
+	errSummaryBeyond   = errors.New("lfs: summary claims blocks beyond buffer")
+	errSummaryChecksum = errors.New("lfs: summary checksum mismatch")
+)
+
+// zeroCRCWord stands in for the stored checksum while verifying it.
+var zeroCRCWord [4]byte
+
+// decodeSummary parses a unit summary from p, decoding its entries
+// into refs (reusing its backing array when large enough) and
+// returning them. It returns an error for anything that is not a
+// valid summary (the roll-forward stop condition). Nothing returned
+// aliases p.
+func decodeSummary(p []byte, refs []blockRef) (summaryHeader, []blockRef, error) {
 	if len(p) < summaryHeaderSize {
-		return summaryHeader{}, nil, fmt.Errorf("lfs: summary shorter than header")
+		return summaryHeader{}, nil, errSummaryShort
 	}
 	le := binary.LittleEndian
 	if le.Uint32(p[0:]) != summaryMagic {
-		return summaryHeader{}, nil, fmt.Errorf("lfs: bad summary magic")
+		return summaryHeader{}, nil, errSummaryMagic
 	}
 	h := summaryHeader{
 		Serial:    le.Uint64(p[4:]),
@@ -252,16 +269,21 @@ func decodeSummary(p []byte) (summaryHeader, []blockRef, error) {
 	}
 	total := summaryBytes(h.NBlocks)
 	if total > len(p) {
-		return summaryHeader{}, nil, fmt.Errorf("lfs: summary claims %d blocks beyond buffer", h.NBlocks)
+		return summaryHeader{}, nil, errSummaryBeyond
 	}
-	stored := le.Uint32(p[28:])
-	scratch := make([]byte, total)
-	copy(scratch, p[:total])
-	le.PutUint32(scratch[28:], 0)
-	if layout.Checksum(scratch) != stored {
-		return summaryHeader{}, nil, fmt.Errorf("lfs: summary checksum mismatch")
+	// encodeSummary computed layout.Checksum (IEEE CRC-32) with the
+	// checksum field zeroed: run the same CRC over the bytes around
+	// the field and four zeros in its place instead of copying.
+	crc := crc32.Update(0, crc32.IEEETable, p[:28])
+	crc = crc32.Update(crc, crc32.IEEETable, zeroCRCWord[:])
+	crc = crc32.Update(crc, crc32.IEEETable, p[32:total])
+	if crc != le.Uint32(p[28:]) {
+		return summaryHeader{}, nil, errSummaryChecksum
 	}
-	refs := make([]blockRef, h.NBlocks)
+	if cap(refs) < h.NBlocks {
+		refs = make([]blockRef, h.NBlocks)
+	}
+	refs = refs[:h.NBlocks]
 	off := summaryHeaderSize
 	for i := range refs {
 		refs[i] = blockRef{

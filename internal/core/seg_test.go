@@ -61,7 +61,7 @@ func TestSummaryRoundTrip(t *testing.T) {
 	}
 	buf := make([]byte, 4096)
 	encodeSummary(h, refs, buf)
-	gotH, gotRefs, err := decodeSummary(buf)
+	gotH, gotRefs, err := decodeSummary(buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,17 +79,105 @@ func TestSummaryDetectsCorruption(t *testing.T) {
 	buf := make([]byte, 4096)
 	encodeSummary(h, refs, buf)
 	buf[40] ^= 0x01
-	if _, _, err := decodeSummary(buf); err == nil {
+	if _, _, err := decodeSummary(buf, nil); err == nil {
 		t.Fatal("corrupted summary decoded")
 	}
 }
 
 func TestSummaryRejectsGarbage(t *testing.T) {
-	if _, _, err := decodeSummary(make([]byte, 4096)); err == nil {
+	if _, _, err := decodeSummary(make([]byte, 4096), nil); err == nil {
 		t.Fatal("zero block decoded as summary")
 	}
-	if _, _, err := decodeSummary(make([]byte, 10)); err == nil {
+	if _, _, err := decodeSummary(make([]byte, 10), nil); err == nil {
 		t.Fatal("short buffer decoded as summary")
+	}
+}
+
+// copyingSummaryValid is the summary check as it was first written:
+// copy the summary, zero its checksum field, and checksum the copy.
+// decodeSummary must accept exactly what it accepts.
+func copyingSummaryValid(p []byte) bool {
+	if len(p) < summaryHeaderSize || binary.LittleEndian.Uint32(p) != summaryMagic {
+		return false
+	}
+	total := summaryBytes(int(binary.LittleEndian.Uint16(p[12:])))
+	if total > len(p) {
+		return false
+	}
+	scratch := append([]byte(nil), p[:total]...)
+	binary.LittleEndian.PutUint32(scratch[28:], 0)
+	return layout.Checksum(scratch) == binary.LittleEndian.Uint32(p[28:])
+}
+
+func TestSummaryChecksumMatchesCopyingCheck(t *testing.T) {
+	refs := []blockRef{
+		{Kind: kindData, Ino: 5, ID: 17, Version: 3},
+		{Kind: kindIndirect, Ino: 5, ID: indSingle, Version: 3},
+		{Kind: kindInodes},
+	}
+	h := summaryHeader{Serial: 9, NBlocks: len(refs), SumBlocks: 1, Timestamp: 7, DataCRC: 0xFEED}
+	valid := make([]byte, 4096)
+	encodeSummary(h, refs, valid)
+	end := summaryBytes(len(refs))
+	flip := func(off int) func([]byte) []byte {
+		return func(p []byte) []byte { p[off] ^= 0x40; return p }
+	}
+	cases := []struct {
+		name   string
+		mutate func([]byte) []byte
+		accept bool
+	}{
+		{"valid", func(p []byte) []byte { return p }, true},
+		{"valid, exact length", func(p []byte) []byte { return p[:end] }, true},
+		{"byte past the entries", flip(end), true},
+		{"crc field byte 0", flip(28), false},
+		{"crc field byte 3", flip(31), false},
+		{"header serial", flip(5), false},
+		{"header data crc", flip(25), false},
+		{"header class", flip(32), false},
+		{"header age", flip(41), false},
+		{"magic", flip(0), false},
+		{"block count", flip(12), false},
+		{"ref kind", flip(summaryHeaderSize), false},
+		{"ref ino", flip(summaryHeaderSize + summaryEntrySize + 4), false},
+		{"last ref version", flip(end - 5), false},
+		{"truncated mid-entries", func(p []byte) []byte { return p[:end-1] }, false},
+		{"truncated mid-header", func(p []byte) []byte { return p[:summaryHeaderSize-1] }, false},
+		{"empty", func(p []byte) []byte { return p[:0] }, false},
+	}
+	for _, c := range cases {
+		p := c.mutate(append([]byte(nil), valid...))
+		_, got, err := decodeSummary(p, nil)
+		if ref := copyingSummaryValid(p); ref != c.accept {
+			t.Fatalf("%s: copying check accepts=%v, case expects %v", c.name, ref, c.accept)
+		}
+		if (err == nil) != c.accept {
+			t.Errorf("%s: decodeSummary err=%v, want accept=%v", c.name, err, c.accept)
+		}
+		if err == nil && !reflect.DeepEqual(got, refs) {
+			t.Errorf("%s: refs %+v, want %+v", c.name, got, refs)
+		}
+	}
+}
+
+func TestDecodeSummaryAllocatesNothing(t *testing.T) {
+	refs := make([]blockRef, 40)
+	for i := range refs {
+		refs[i] = blockRef{Kind: kindData, Ino: layout.Ino(i + 1), ID: int64(i), Version: 1}
+	}
+	p := make([]byte, 4096)
+	encodeSummary(summaryHeader{Serial: 1, NBlocks: len(refs), SumBlocks: 1}, refs, p)
+	dst := make([]blockRef, 0, len(refs))
+	if n := testing.AllocsPerRun(100, func() {
+		if _, _, err := decodeSummary(p, dst); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("decodeSummary of a valid summary: %v allocs, want 0", n)
+	}
+	zero := make([]byte, 4096)
+	if n := testing.AllocsPerRun(100, func() { _, _, _ = decodeSummary(zero, dst) }); n != 0 {
+		t.Fatalf("decodeSummary of an unused block: %v allocs, want 0", n)
 	}
 }
 
@@ -110,7 +198,7 @@ func TestSummaryRoundTripProperty(t *testing.T) {
 		h := summaryHeader{Serial: serial, NBlocks: count, SumBlocks: sumBlks, Timestamp: sim.Time(rng.Int63())}
 		buf := make([]byte, sumBlks*4096)
 		encodeSummary(h, refs, buf)
-		gotH, gotRefs, err := decodeSummary(buf)
+		gotH, gotRefs, err := decodeSummary(buf, nil)
 		return err == nil && gotH == h && reflect.DeepEqual(gotRefs, refs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"lfs/internal/cache"
 	"lfs/internal/disk"
@@ -153,7 +153,6 @@ func (fs *FS) writeDataClass(blocks []*cache.Block, class writeClass) error {
 		return nil
 	}
 	refs := make([]blockRef, len(blocks))
-	payload := make([][]byte, len(blocks))
 	for i, b := range blocks {
 		refs[i] = blockRef{
 			Kind:    kindData,
@@ -161,10 +160,9 @@ func (fs *FS) writeDataClass(blocks []*cache.Block, class writeClass) error {
 			ID:      b.Key.Off,
 			Version: fs.imap.get(b.Key.Ino).Version,
 		}
-		payload[i] = b.Data
 	}
 	ages := fs.blockAges(blocks, class)
-	addrs, err := fs.placeBlocks(class, refs, payload, ages)
+	addrs, err := fs.placeBlocks(class, refs, func(i int, dst []byte) { copy(dst, blocks[i].Data) }, ages)
 	if err != nil {
 		return err
 	}
@@ -201,7 +199,6 @@ func (fs *FS) writeIndirectClass(blocks []*cache.Block, class writeClass) error 
 		return nil
 	}
 	refs := make([]blockRef, len(blocks))
-	payload := make([][]byte, len(blocks))
 	for i, b := range blocks {
 		refs[i] = blockRef{
 			Kind:    kindIndirect,
@@ -209,10 +206,9 @@ func (fs *FS) writeIndirectClass(blocks []*cache.Block, class writeClass) error 
 			ID:      b.Key.Off,
 			Version: fs.imap.get(b.Key.Ino).Version,
 		}
-		payload[i] = b.Data
 	}
 	ages := fs.blockAges(blocks, class)
-	addrs, err := fs.placeBlocks(class, refs, payload, ages)
+	addrs, err := fs.placeBlocks(class, refs, func(i int, dst []byte) { copy(dst, blocks[i].Data) }, ages)
 	if err != nil {
 		return err
 	}
@@ -248,39 +244,34 @@ func (fs *FS) writeInodeBatchFor(inos []layout.Ino) error {
 	if len(inos) == 0 {
 		return nil
 	}
-	sort.Slice(inos, func(i, j int) bool { return inos[i] < inos[j] })
+	slices.Sort(inos)
+	for _, ino := range inos {
+		if fs.inodes[ino] == nil {
+			return fmt.Errorf("lfs: dirty inode %d missing from the in-core table", ino)
+		}
+	}
 
+	// Block bi packs inodes [bi*per, (bi+1)*per) in ascending order,
+	// encoded straight into the segment buffer.
 	per := fs.inodesPerBlock()
-	var refs []blockRef
-	var payload [][]byte
-	var blockInos [][]layout.Ino
-	for start := 0; start < len(inos); start += per {
-		end := start + per
-		if end > len(inos) {
-			end = len(inos)
-		}
-		buf := make([]byte, fs.cfg.BlockSize)
-		group := inos[start:end]
-		for i, ino := range group {
-			in := fs.inodes[ino]
-			if in == nil {
-				return fmt.Errorf("lfs: dirty inode %d missing from the in-core table", ino)
-			}
-			in.Encode(buf[i*layout.InodeSize:])
-		}
-		refs = append(refs, blockRef{Kind: kindInodes})
-		payload = append(payload, buf)
-		blockInos = append(blockInos, group)
+	group := func(bi int) []layout.Ino { return inos[bi*per : min((bi+1)*per, len(inos))] }
+	refs := make([]blockRef, (len(inos)+per-1)/per)
+	for bi := range refs {
+		refs[bi] = blockRef{Kind: kindInodes}
 	}
 	// Inode blocks always go hot: they aggregate records of many
 	// files and are rewritten whenever any of them changes.
-	addrs, err := fs.placeBlocks(classHot, refs, payload, nil)
+	addrs, err := fs.placeBlocks(classHot, refs, func(bi int, dst []byte) {
+		clear(dst)
+		for i, ino := range group(bi) {
+			fs.inodes[ino].Encode(dst[i*layout.InodeSize:])
+		}
+	}, nil)
 	if err != nil {
 		return err
 	}
-	for bi, group := range blockInos {
-		base := addrs[bi]
-		for i, ino := range group {
+	for bi, base := range addrs {
+		for i, ino := range group(bi) {
 			e := fs.imap.get(ino)
 			fs.killBlock(e.Addr, layout.InodeSize)
 			e.Addr = base + layout.DiskAddr(i/inodesPerSector)
@@ -297,27 +288,23 @@ func (fs *FS) writeInodeBatchFor(inos []layout.Ino) error {
 // addresses for the next checkpoint region write.
 func (fs *FS) writeImapBatch() error {
 	var refs []blockRef
-	var payload [][]byte
-	var idxs []int
 	for idx, dirty := range fs.imap.dirtyBlock {
-		if !dirty {
-			continue
+		if dirty {
+			refs = append(refs, blockRef{Kind: kindImap, ID: int64(idx)})
 		}
-		buf := make([]byte, fs.cfg.BlockSize)
-		fs.imap.encodeBlock(idx, buf)
-		refs = append(refs, blockRef{Kind: kindImap, ID: int64(idx)})
-		payload = append(payload, buf)
-		idxs = append(idxs, idx)
 	}
 	if len(refs) == 0 {
 		return nil
 	}
-	addrs, err := fs.placeBlocks(classHot, refs, payload, nil)
+	addrs, err := fs.placeBlocks(classHot, refs, func(i int, dst []byte) {
+		fs.imap.encodeBlock(int(refs[i].ID), dst)
+	}, nil)
 	if err != nil {
 		return err
 	}
 	bs := int64(fs.cfg.BlockSize)
-	for i, idx := range idxs {
+	for i, ref := range refs {
+		idx := int(ref.ID)
 		fs.killBlock(fs.imap.blockAddrs[idx], bs)
 		fs.imap.blockAddrs[idx] = addrs[i]
 		fs.creditSegment(fs.segOf(addrs[i]), bs)
@@ -326,9 +313,11 @@ func (fs *FS) writeImapBatch() error {
 	return nil
 }
 
-// placeBlocks appends the given blocks to the log as one or more
+// placeBlocks appends one block per ref to the log as one or more
 // units, assembling them in the class's segment buffer, and returns
-// the disk address assigned to each block. Consecutive units in one
+// the disk address assigned to each block. fill(i, dst) writes block
+// i's contents into dst, its block-sized slot in the segment buffer,
+// so callers encode in place instead of staging a copy. Consecutive units in one
 // segment are contiguous, so the eventual disk transfers are
 // sequential. Cold placements fall back to the hot head when
 // segregation is off or the log cannot spare the cold stream a
@@ -337,7 +326,7 @@ func (fs *FS) writeImapBatch() error {
 // ages carries the per-block data age (nil means everything is as
 // young as now); each unit's summary records the youngest age it
 // contains, matching the segment-age semantics of §3.6.
-func (fs *FS) placeBlocks(class writeClass, refs []blockRef, payload [][]byte, ages []sim.Time) ([]layout.DiskAddr, error) {
+func (fs *FS) placeBlocks(class writeClass, refs []blockRef, fill func(i int, dst []byte), ages []sim.Time) ([]layout.DiskAddr, error) {
 	now := fs.clock.Now()
 	if class == classCold && !fs.cfg.Segregation {
 		class = classHot
@@ -346,9 +335,9 @@ func (fs *FS) placeBlocks(class writeClass, refs []blockRef, payload [][]byte, a
 		class = classHot
 	}
 	bs := fs.cfg.BlockSize
-	addrs := make([]layout.DiskAddr, 0, len(payload))
+	addrs := make([]layout.DiskAddr, 0, len(refs))
 	i := 0
-	for i < len(payload) {
+	for i < len(refs) {
 		h := &fs.heads[class]
 		avail := fs.cfg.blocksPerSegment() - h.blk
 		fit := maxUnitBlocks(avail, bs)
@@ -367,17 +356,13 @@ func (fs *FS) placeBlocks(class writeClass, refs []blockRef, payload [][]byte, a
 			continue
 		}
 		n := fit
-		if rest := len(payload) - i; n > rest {
+		if rest := len(refs) - i; n > rest {
 			n = rest
 		}
 		sumBlks := summaryBlocks(n, bs)
 		dataStart := h.blk + sumBlks
 		for j := 0; j < n; j++ {
-			blk := payload[i+j]
-			if len(blk) != bs {
-				return nil, fmt.Errorf("lfs: placing block of %d bytes, want %d", len(blk), bs)
-			}
-			copy(h.buf[(dataStart+j)*bs:], blk)
+			fill(i+j, h.buf[(dataStart+j)*bs:(dataStart+j+1)*bs])
 			addrs = append(addrs, layout.DiskAddr(fs.blockSector(h.seg, dataStart+j)))
 		}
 		unitAge := now

@@ -3,6 +3,7 @@ package ffs
 import (
 	"testing"
 
+	"lfs/internal/cache"
 	"lfs/internal/disk"
 	"lfs/internal/layout"
 	"lfs/internal/sim"
@@ -201,5 +202,59 @@ func TestSuperblockRoundTrip(t *testing.T) {
 	buf[5] ^= 0xFF
 	if _, err := decodeSuperblock(buf); err == nil {
 		t.Fatal("corrupted superblock decoded")
+	}
+}
+
+// TestBmapPinsIndirectAcrossBitmapRead allocates a block through the
+// single indirect block when that block is the only clean one in a
+// full cache and the group's bitmap is not cached: the bitmap read
+// must not evict and recycle the indirect block bmap is updating.
+func TestBmapPinsIndirectAcrossBitmapRead(t *testing.T) {
+	fs := newTestFS(t, 64<<20)
+	bs := fs.cfg.BlockSize
+	if err := fs.Create("/f"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Write("/f", 0, make([]byte, (layout.NDirect+1)*bs)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := fs.Stat("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := fs.readInode(fi.Ino)
+	if err != nil || in.Indirect.IsNil() {
+		t.Fatalf("inode %+v, err %v: want a single indirect block", in, err)
+	}
+	// Everything is on disk: start over with only the indirect block
+	// cached clean, and dirty blocks (never written back here)
+	// filling the rest of the cache.
+	fs.bc.Clear()
+	ibKey := blockKey(fs.lay.blockOf(in.Indirect))
+	if _, err := fs.getBlock(ibKey.Off, true, "indirect"); err != nil {
+		t.Fatal(err)
+	}
+	for off := int64(1 << 40); fs.bc.Len() < fs.bc.Capacity(); off++ {
+		fs.bc.MarkDirty(fs.bc.Add(cache.Key{Kind: cache.KindMeta, Off: off}), 0)
+	}
+
+	pb, isNew, _, err := fs.bmap(&in, layout.NDirect+1, true)
+	if err != nil || !isNew {
+		t.Fatalf("bmap: pb %d new %v err %v", pb, isNew, err)
+	}
+	ib := fs.bc.Peek(ibKey)
+	if ib == nil {
+		t.Fatal("the indirect block was evicted mid-update")
+	}
+	if got := loadAddr(ib, 1); got != fs.lay.addrOf(pb) {
+		t.Fatalf("indirect entry 1 = %v, want %v", got, fs.lay.addrOf(pb))
+	}
+	g := fs.lay.blockToGroup(pb)
+	bm := fs.bc.Peek(blockKey(fs.lay.bitmapBlock(g)))
+	if bm == nil || !testBit(bm.Data, int(pb-fs.lay.groupStart(g))) {
+		t.Fatal("the new block is not marked allocated in its bitmap")
 	}
 }

@@ -85,6 +85,10 @@ func (fs *FS) bmap(in *layout.Inode, lbn int64, alloc bool) (pb int64, isNew, in
 		if ib == nil {
 			return -1, false, false, nil
 		}
+		// Pinned: allocBlock below may Add a bitmap block, and an
+		// evicted ib would be recycled under it.
+		fs.bc.Pin(ib)
+		defer fs.bc.Unpin(ib)
 		if created {
 			in.Indirect = addr
 			inodeChanged = true
@@ -112,6 +116,8 @@ func (fs *FS) bmap(in *layout.Inode, lbn int64, alloc bool) (pb int64, isNew, in
 		if outer == nil {
 			return -1, false, false, nil
 		}
+		fs.bc.Pin(outer)
+		defer fs.bc.Unpin(outer)
 		if created {
 			in.DoubleIndirect = addr
 			inodeChanged = true
@@ -124,6 +130,8 @@ func (fs *FS) bmap(in *layout.Inode, lbn int64, alloc bool) (pb int64, isNew, in
 		if inner == nil {
 			return -1, false, inodeChanged, nil
 		}
+		fs.bc.Pin(inner)
+		defer fs.bc.Unpin(inner)
 		if createdInner {
 			storeAddr(outer, path.Outer, newInnerAddr)
 			fs.dirty(outer)
@@ -194,14 +202,16 @@ func (fs *FS) readBlockRA(in *layout.Inode, lbn int64) (*cache.Block, error) {
 	if err := fs.d.ReadSectors(fs.lay.sectorOf(pb), span, disk.CauseReadMiss, "file read"); err != nil {
 		return nil, err
 	}
-	var first *cache.Block
-	for i := 0; i < run; i++ {
+	// Pin the returned block while the rest of the run is added, so
+	// no Add evicts and recycles it.
+	first := fs.bc.Add(blockKey(pb))
+	copy(first.Data, span[:bs])
+	fs.bc.Pin(first)
+	for i := 1; i < run; i++ {
 		b := fs.bc.Add(blockKey(pb + int64(i)))
 		copy(b.Data, span[i*bs:(i+1)*bs])
-		if i == 0 {
-			first = b
-		}
 	}
+	fs.bc.Unpin(first)
 	return first, nil
 }
 
@@ -358,6 +368,9 @@ func (fs *FS) freeFileBlock(in *layout.Inode, lbn int64) error {
 		if err != nil {
 			return err
 		}
+		// Pinned across freeBlock's bitmap read.
+		fs.bc.Pin(ib)
+		defer fs.bc.Unpin(ib)
 		if a := loadAddr(ib, path.Inner); !a.IsNil() {
 			if err := fs.freeBlock(fs.lay.blockOf(a)); err != nil {
 				return err
@@ -381,6 +394,8 @@ func (fs *FS) freeFileBlock(in *layout.Inode, lbn int64) error {
 		if err != nil {
 			return err
 		}
+		fs.bc.Pin(inner)
+		defer fs.bc.Unpin(inner)
 		if a := loadAddr(inner, path.Inner); !a.IsNil() {
 			if err := fs.freeBlock(fs.lay.blockOf(a)); err != nil {
 				return err
@@ -412,6 +427,9 @@ func (fs *FS) pruneIndirects(in *layout.Inode, newBlocks int64) error {
 	if err != nil {
 		return err
 	}
+	// Pinned across the bitmap reads of the freeBlock calls below.
+	fs.bc.Pin(outer)
+	defer fs.bc.Unpin(outer)
 	// keepOuter is the number of inner indirect blocks still needed.
 	keepOuter := int64(0)
 	if newBlocks > doubleStart {

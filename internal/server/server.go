@@ -285,6 +285,12 @@ func Run(fsys FS, cfg Config) (Result, error) {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(client)*0x9e3779b9))
 		st.Latency = obs.NewLatencyHistogram()
 		created := make([]bool, cfg.FilesPerClient)
+		// The client's file names, built once: the run cycles
+		// through the same FilesPerClient paths.
+		paths := make([]string, cfg.FilesPerClient)
+		for i := range paths {
+			paths[i] = fmt.Sprintf("%s/f%03d", clientDir(client), i)
+		}
 		n := 0
 		// intendedWrite is when the client's next write event is due;
 		// the difference between it and the actual fire time is the
@@ -312,7 +318,7 @@ func Run(fsys FS, cfg Config) (Result, error) {
 			}
 			noteDispatchGap(intendedWrite)
 			slot := n % cfg.FilesPerClient
-			path := fmt.Sprintf("%s/f%03d", clientDir(client), slot)
+			path := paths[slot]
 			start := loop.Clock().Now()
 			fsys.SetClient(client)
 			if !created[slot] {
